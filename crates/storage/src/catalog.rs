@@ -32,7 +32,7 @@
 //! pool, so index-seek joins stay cache-governed after the warm start.
 
 use crate::btree::{self, IndexMeta, PagedIndex};
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, PoolStats};
 use crate::codec;
 use crate::page::{self, PageBuilder, MAX_CELL};
 use crate::pager::PageFile;
@@ -250,11 +250,73 @@ struct StagedCatalog {
     lsn: u64,
 }
 
+/// Where every rowid of one table lives: its heap page ids in rowid
+/// order and the prefix sums of their cell counts, so locating a rowid
+/// is a binary search instead of a walk over every heap page. Built by
+/// one scan of the heap, then kept current by [`StorageDb::apply`]:
+/// updates and deletes never change a page's cell count (tombstones
+/// keep their slot), so only appends touch it.
+struct SlotDir {
+    /// The catalog `(file, heap)` this directory describes; any other
+    /// value in the current [`TableMeta`] means it is stale.
+    file: String,
+    heap: Vec<(u64, u64)>,
+    /// Heap page ids in rowid order.
+    pids: Vec<u64>,
+    /// `ends[i]` is one past the last rowid on `pids[i]`: the rowid
+    /// base of page `i + 1`.
+    ends: Vec<u64>,
+}
+
+impl SlotDir {
+    /// Builds the directory for `meta` by reading every heap page's
+    /// cell count through `pool`.
+    fn scan(meta: &TableMeta, pool: &BufferPool) -> Result<Self, EvalError> {
+        let mut dir = SlotDir {
+            file: meta.file.clone(),
+            heap: meta.heap.clone(),
+            pids: Vec::new(),
+            ends: Vec::new(),
+        };
+        for (pid, n) in heap_slots(meta, pool)? {
+            dir.grow(pid, n as u64);
+        }
+        Ok(dir)
+    }
+
+    fn describes(&self, meta: &TableMeta) -> bool {
+        self.file == meta.file && self.heap == meta.heap
+    }
+
+    /// The `(page, slot)` holding `rowid`, if it is in range.
+    fn locate(&self, rowid: u64) -> Option<(u64, u16)> {
+        let i = self.ends.partition_point(|&end| end <= rowid);
+        let pid = *self.pids.get(i)?;
+        let base = if i == 0 { 0 } else { self.ends[i - 1] };
+        Some((pid, (rowid - base) as u16))
+    }
+
+    /// Records `cells` new cells on `pid`: the last page when it is
+    /// already listed, else a new last page.
+    fn grow(&mut self, pid: u64, cells: u64) {
+        let total = self.ends.last().copied().unwrap_or(0) + cells;
+        match (self.pids.last(), self.ends.last_mut()) {
+            (Some(&last), Some(end)) if last == pid => *end = total,
+            _ => {
+                self.pids.push(pid);
+                self.ends.push(total);
+            }
+        }
+    }
+}
+
 /// Shared mutable state behind every clone of one [`StorageDb`].
 struct DbShared {
     wal: Mutex<Option<Arc<Wal>>>,
     recovery: Mutex<Option<RecoveryReport>>,
     pools: Mutex<HashMap<String, Arc<BufferPool>>>,
+    /// Per-table slot directories; dropped wherever `pools` is.
+    slots: Mutex<HashMap<String, SlotDir>>,
     budget: Mutex<Option<Budget>>,
     staged: Mutex<HashMap<String, StagedCatalog>>,
     recovered: AtomicBool,
@@ -269,6 +331,9 @@ pub struct StorageDb {
     dir: PathBuf,
     policy: WalPolicy,
     checkpoint_bytes: u64,
+    /// Capacity of the pools that mutations open, from
+    /// `HTQO_PAGE_CACHE` at open time.
+    cache_bytes: u64,
     shared: Arc<DbShared>,
 }
 
@@ -290,7 +355,9 @@ impl StorageDb {
     }
 
     /// Opens with an explicit WAL policy and auto-checkpoint threshold
-    /// (bytes of WAL that trigger a checkpoint after a mutation).
+    /// (bytes of WAL that trigger a checkpoint after a mutation). The
+    /// capacity of pools opened by mutations comes from
+    /// `HTQO_PAGE_CACHE`, read once here.
     pub fn open_with(
         dir: &Path,
         policy: WalPolicy,
@@ -301,10 +368,12 @@ impl StorageDb {
             dir: dir.to_path_buf(),
             policy,
             checkpoint_bytes,
+            cache_bytes: cache_bytes_from_env(),
             shared: Arc::new(DbShared {
                 wal: Mutex::new(None),
                 recovery: Mutex::new(None),
                 pools: Mutex::new(HashMap::new()),
+                slots: Mutex::new(HashMap::new()),
                 budget: Mutex::new(None),
                 staged: Mutex::new(HashMap::new()),
                 recovered: AtomicBool::new(false),
@@ -457,6 +526,7 @@ impl StorageDb {
         // Pools (if any survived a simulated crash) point at pre-redo
         // bytes; drop them so reads see the recovered files.
         lock(&self.shared.pools).clear();
+        lock(&self.shared.slots).clear();
         Ok(report)
     }
 
@@ -513,6 +583,7 @@ impl StorageDb {
             }
             pools.clear();
         }
+        lock(&self.shared.slots).clear();
         // Dropping the Wal discards its unflushed pending buffer — the
         // bytes a real crash would lose — without touching the file.
         *lock(&self.shared.wal) = None;
@@ -561,6 +632,45 @@ impl StorageDb {
         }
         pools.insert(meta.name.clone(), Arc::clone(&pool));
         Ok(pool)
+    }
+
+    /// Counters of `table`'s buffer pool, if one is open.
+    pub fn pool_stats(&self, table: &str) -> Option<PoolStats> {
+        lock(&self.shared.pools).get(table).map(|p| p.stats())
+    }
+
+    /// Takes `meta`'s slot directory out of the shared map, rebuilding
+    /// it by a heap scan when there is none or it describes another
+    /// `(file, heap)`. The caller puts it back only once the state it
+    /// describes is the table's committed state.
+    fn take_slot_dir(&self, meta: &TableMeta, pool: &BufferPool) -> Result<SlotDir, EvalError> {
+        match lock(&self.shared.slots).remove(&meta.name) {
+            Some(dir) if dir.describes(meta) => Ok(dir),
+            _ => SlotDir::scan(meta, pool),
+        }
+    }
+
+    /// The `(heap page, slot)` holding `rowid` in `table`, or `None`
+    /// when the rowid is out of range — answered by the same slot
+    /// directory [`StorageDb::apply`] uses.
+    pub fn locate(&self, table: &str, rowid: u64) -> Result<Option<(u64, u16)>, EvalError> {
+        self.ensure_recovered()?;
+        let meta = self.table_meta(table)?;
+        let pool = self.pool_for(&meta, self.cache_bytes, lock(&self.shared.budget).clone())?;
+        let dir = self.take_slot_dir(&meta, &pool)?;
+        let at = dir.locate(rowid);
+        lock(&self.shared.slots).insert(meta.name, dir);
+        Ok(at)
+    }
+
+    /// `(heap page, cell count)` for every heap page of `table` in
+    /// rowid order, read from the pages themselves — the from-scratch
+    /// scan the slot directory must always agree with.
+    pub fn scan_slots(&self, table: &str) -> Result<Vec<(u64, u16)>, EvalError> {
+        self.ensure_recovered()?;
+        let meta = self.table_meta(table)?;
+        let pool = self.pool_for(&meta, self.cache_bytes, lock(&self.shared.budget).clone())?;
+        heap_slots(&meta, &pool)
     }
 
     /// Checkpoint: makes the WAL durable, writes every dirty page back
@@ -680,6 +790,7 @@ impl StorageDb {
         // delete the old file; a failure here just leaves an orphan for
         // the next recovery's GC.
         lock(&self.shared.pools).remove(name);
+        lock(&self.shared.slots).remove(name);
         if let Some(old) = &old {
             if old.file != meta.file {
                 let _ = std::fs::remove_file(self.dir.join(&old.file));
@@ -909,6 +1020,10 @@ impl StorageDb {
     /// the commit record is durable loses the whole batch; after, the
     /// whole batch survives recovery — never a partial application.
     ///
+    /// Rowids are found through the table's slot directory, so a batch
+    /// pins only the pages it touches (plus one heap scan on the first
+    /// batch after open, recovery, or re-ingest).
+    ///
     /// Rowids in a batch address the table state *before* the batch:
     /// rows appended by the same batch cannot be updated or deleted by
     /// it. Mutations drop the table's secondary indexes (bulk-loaded
@@ -920,6 +1035,12 @@ impl StorageDb {
         if batch.is_empty() {
             return Ok(meta);
         }
+        let pool = self.pool_for(&meta, self.cache_bytes, lock(&self.shared.budget).clone())?;
+        // Out of the shared map until this batch is committed and
+        // applied: a batch that fails anywhere below leaves no
+        // directory behind, so the next one rebuilds it.
+        let mut slots = self.take_slot_dir(&meta, &pool)?;
+
         let arity = meta.columns.len();
         let validate = |row: &[Value]| -> Result<(), EvalError> {
             if row.len() != arity {
@@ -945,35 +1066,6 @@ impl StorageDb {
                 MutOp::Delete(_) => {}
             }
         }
-
-        let pool = self.pool_for(
-            &meta,
-            cache_bytes_from_env(),
-            lock(&self.shared.budget).clone(),
-        )?;
-
-        // Physical slot map: (pid, cell count) per heap page, in rowid
-        // order.
-        let mut slot_pages: Vec<(u64, u16)> = Vec::new();
-        for &(start, count) in &meta.heap {
-            for pid in start..start + count {
-                let n = {
-                    let p = pool.pin(pid)?;
-                    page::cell_count(&p)?
-                };
-                slot_pages.push((pid, n));
-            }
-        }
-        let locate = |rowid: u64| -> Option<(u64, u16)> {
-            let mut base = 0u64;
-            for &(pid, n) in &slot_pages {
-                if rowid < base + n as u64 {
-                    return Some((pid, (rowid - base) as u16));
-                }
-                base += n as u64;
-            }
-            None
-        };
 
         // Stage every change against in-memory cell lists.
         let mut changed: HashMap<u64, Vec<Vec<u8>>> = HashMap::new();
@@ -1001,7 +1093,7 @@ impl StorageDb {
                     live_delta += 1;
                 }
                 MutOp::Update(rowid, _) | MutOp::Delete(rowid) => {
-                    let (pid, slot) = locate(*rowid).ok_or_else(|| {
+                    let (pid, slot) = slots.locate(*rowid).ok_or_else(|| {
                         EvalError::SpillIo(format!(
                             "table {}: rowid {rowid} out of range",
                             batch.table
@@ -1039,15 +1131,18 @@ impl StorageDb {
 
         // Place appends: top up the last heap page, then fresh pages.
         let mut append_iter = appends.into_iter().peekable();
-        if let Some(&(last_pid, _)) = slot_pages.last() {
+        if let Some(&last_pid) = slots.pids.last() {
             load_cells(last_pid, &mut changed)?;
             let cells = changed.get_mut(&last_pid).unwrap();
+            let mut topped = 0;
             while let Some(cell) = append_iter.peek() {
                 if !page::page_fits(cells, cell) {
                     break;
                 }
                 cells.push(append_iter.next().unwrap());
+                topped += 1;
             }
+            slots.grow(last_pid, topped);
         }
         let mut fresh: Vec<Vec<Vec<u8>>> = Vec::new();
         for cell in append_iter {
@@ -1072,6 +1167,7 @@ impl StorageDb {
         let fresh_count = fresh.len() as u64;
         for (k, cells) in fresh.iter().enumerate() {
             images.push((base + k as u64, page::rebuild(cells)?));
+            slots.grow(base + k as u64, cells.len() as u64);
         }
         if fresh_count > 0 {
             // New pages extend the rowid space at the end, so the new
@@ -1081,6 +1177,7 @@ impl StorageDb {
                 _ => meta.heap.push((base, fresh_count)),
             }
         }
+        slots.heap = meta.heap.clone();
         meta.rows = (meta.rows as i64 + live_delta) as usize;
         // Bulk-loaded B+trees cannot be maintained incrementally; the
         // next ingest rebuilds them. Stale index pages stay as dead
@@ -1121,6 +1218,7 @@ impl StorageDb {
             },
         );
         self.flush_staged(wal.durable_lsn())?;
+        lock(&self.shared.slots).insert(meta.name.clone(), slots);
 
         if wal.size() > self.checkpoint_bytes {
             self.checkpoint()?;
@@ -1213,6 +1311,17 @@ impl StorageDb {
         }
         Ok(db)
     }
+}
+
+/// `(page, cell count)` for every heap page of `meta`, in rowid order.
+fn heap_slots(meta: &TableMeta, pool: &BufferPool) -> Result<Vec<(u64, u16)>, EvalError> {
+    let mut out = Vec::with_capacity(meta.heap_pages() as usize);
+    for &(start, count) in &meta.heap {
+        for pid in start..start + count {
+            out.push((pid, page::cell_count(&pool.pin(pid)?)?));
+        }
+    }
+    Ok(out)
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -1495,5 +1604,78 @@ mod tests {
         assert_eq!(after.heap_pages(), 1, "no new page for small appends");
         assert_eq!(after.rows, 10);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Pool misses of one fixed 32-op batch on a table of `pages` heap
+    /// pages behind a `POOL_PAGES`-frame pool, after a warm-up batch has
+    /// built the slot directory; also returns the batch's touched heap
+    /// pages.
+    fn batch_misses(label: &str, pages: u64) -> (u64, usize) {
+        const POOL_PAGES: u64 = 16;
+        let dir = tmpdir(label);
+        let row = |i: i64| vec![Value::Int(i), Value::str(&format!("{i:0>200}"))];
+        // Equal-size rows: every full page holds `per_page` of them.
+        let mut probe = PageBuilder::new();
+        while probe.push(&codec::encode_row(&row(0))) {}
+        let per_page = probe.cells() as u64;
+        let mut rel = Relation::new(Schema::new(&[
+            ("id", ColumnType::Int),
+            ("pad", ColumnType::Str),
+        ]));
+        for i in 0..(pages * per_page) as i64 {
+            rel.push_row(row(i)).unwrap();
+        }
+        let meta = StorageDb::open_with(&dir, WalPolicy::Off, u64::MAX)
+            .unwrap()
+            .ingest("t", &rel, &[])
+            .unwrap();
+        assert_eq!(meta.heap_pages(), pages);
+        assert!(pages >= 8 * POOL_PAGES);
+        let storage = StorageDb::open_with(&dir, WalPolicy::Off, u64::MAX).unwrap();
+        storage
+            .load_table("t", POOL_PAGES * crate::page::PAGE_SIZE as u64, None)
+            .unwrap();
+
+        let mut warm = MutationBatch::new("t");
+        warm.update(0, row(-1)).append(row(-2));
+        storage.apply(&warm).unwrap();
+
+        // Four interior pages, none resident after the warm-up: 24
+        // updates and deletes on them plus 8 appends to the last page.
+        let mut batch = MutationBatch::new("t");
+        let mut touched = HashSet::new();
+        for p in [20u64, 30, 40, 50] {
+            for k in 0..6 {
+                let rowid = p * per_page + k;
+                touched.insert(storage.locate("t", rowid).unwrap().unwrap().0);
+                if k < 4 {
+                    batch.update(rowid, row(rowid as i64));
+                } else {
+                    batch.delete(rowid);
+                }
+            }
+        }
+        for i in 0..8 {
+            batch.append(row(1_000_000 + i));
+        }
+        let (start, count) = *storage.table_meta("t").unwrap().heap.last().unwrap();
+        touched.insert(start + count - 1);
+        let before = storage.pool_stats("t").unwrap().misses;
+        storage.apply(&batch).unwrap();
+        let misses = storage.pool_stats("t").unwrap().misses - before;
+        std::fs::remove_dir_all(&dir).ok();
+        (misses, touched.len())
+    }
+
+    #[test]
+    fn apply_pool_misses_scale_with_the_batch_not_the_table() {
+        let (small, touched_small) = batch_misses("misses-n", 128);
+        let (large, touched_large) = batch_misses("misses-4n", 512);
+        assert_eq!(touched_small, touched_large);
+        assert_eq!(small, large, "misses must not grow with the table");
+        assert!(
+            small <= touched_small as u64 + 1,
+            "{small} misses for {touched_small} touched pages"
+        );
     }
 }

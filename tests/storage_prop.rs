@@ -18,13 +18,20 @@
 //!    charges — and a full `evaluate_qhd` run with `index_join` on must
 //!    match the classic path for every carrier × thread-count
 //!    combination.
+//!
+//! 3. **Slot directory ≡ page scan**: random interleavings of accepted
+//!    and rejected mutation batches, checkpoints, re-ingests, and
+//!    crash + recovery, after each of which `load_table` must equal a
+//!    slot-level reference model row for row and every rowid's
+//!    `StorageDb::locate` must agree with a from-scratch page scan.
 
 use htqo::prelude::*;
 use htqo_cq::{AtomId, CqBuilder};
 use htqo_engine::schema::{ColumnType, Schema};
 use htqo_engine::{iseek, ops, scan, MemIndex};
 use htqo_eval::{evaluate_qhd_with, ExecOptions};
-use htqo_storage::{StorageDb, PAGE_DATA, PAGE_SIZE};
+use htqo_storage::page::MAX_CELL;
+use htqo_storage::{MutationBatch, StorageDb, WalPolicy, PAGE_DATA, PAGE_SIZE};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -416,6 +423,267 @@ proptest! {
                 prop_assert!(classic2.set_eq(&classic));
                 prop_assert_eq!(c2, classic_charge);
             }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+// ---------------------------------------------------------------------
+// 3. Slot directory ≡ page scan
+// ---------------------------------------------------------------------
+
+/// One step of a slot-directory case. Rowid choices are raw picks,
+/// resolved against the model's state when the step runs.
+#[derive(Clone, Debug)]
+enum SlotStep {
+    /// An accepted batch: `appends` rows padded to `pad` bytes (enough
+    /// to fill the last page and open fresh ones), then updates and
+    /// deletes of live rowids.
+    Batch {
+        appends: usize,
+        pad: usize,
+        updates: Vec<u64>,
+        deletes: Vec<u64>,
+    },
+    /// A batch of valid appends and one update, then one bad op; the
+    /// whole batch must be rejected.
+    Rejected {
+        appends: usize,
+        bad: Bad,
+        pick: u64,
+    },
+    Checkpoint,
+    /// Re-ingest the model's live rows, with or without an index.
+    Reingest {
+        indexed: bool,
+    },
+    /// Kill and recover, on the same handle or a fresh one.
+    CrashRecover {
+        fresh_handle: bool,
+    },
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Bad {
+    OutOfRange,
+    Deleted,
+    Arity,
+    Type,
+    /// An update whose cell can never share its page with another slot.
+    TooBig,
+}
+
+fn arb_slot_step() -> impl Strategy<Value = SlotStep> {
+    prop_oneof![
+        8 => (
+            0usize..80,
+            0usize..400,
+            prop::collection::vec(any::<u64>(), 0..6),
+            prop::collection::vec(any::<u64>(), 0..6),
+        )
+            .prop_map(|(appends, pad, updates, deletes)| SlotStep::Batch {
+                appends,
+                pad,
+                updates,
+                deletes,
+            }),
+        4 => (0usize..8, 0u8..5, any::<u64>()).prop_map(|(appends, bad, pick)| {
+            let bad = [Bad::OutOfRange, Bad::Deleted, Bad::Arity, Bad::Type, Bad::TooBig]
+                [bad as usize];
+            SlotStep::Rejected { appends, bad, pick }
+        }),
+        1 => Just(SlotStep::Checkpoint),
+        1 => any::<bool>().prop_map(|indexed| SlotStep::Reingest { indexed }),
+        1 => any::<bool>().prop_map(|fresh_handle| SlotStep::CrashRecover { fresh_handle }),
+    ]
+}
+
+fn slot_row(k: i64, pad: usize) -> Vec<Value> {
+    vec![Value::Int(k), Value::str(&"x".repeat(pad))]
+}
+
+/// Physical slots — `None` is a tombstone; rowids are positions.
+struct SlotModel {
+    slots: Vec<Option<Vec<Value>>>,
+}
+
+impl SlotModel {
+    fn live(&self) -> Vec<u64> {
+        (0..self.slots.len() as u64)
+            .filter(|&r| self.slots[r as usize].is_some())
+            .collect()
+    }
+
+    fn relation(&self) -> Relation {
+        let mut rel = Relation::new(Schema::new(&[
+            ("k", ColumnType::Int),
+            ("pad", ColumnType::Str),
+        ]));
+        for row in self.slots.iter().flatten() {
+            rel.push_row(row.clone()).unwrap();
+        }
+        rel
+    }
+}
+
+/// One rowid per pick, each removed from `from` so none repeats (fewer
+/// once `from` runs dry).
+fn pick_distinct(from: &mut Vec<u64>, picks: &[u64]) -> Vec<u64> {
+    let mut out = Vec::new();
+    for &p in picks {
+        if from.is_empty() {
+            break;
+        }
+        out.push(from.swap_remove((p % from.len() as u64) as usize));
+    }
+    out
+}
+
+/// Checks storage against the model: rows via `load_table`, and every
+/// rowid's `locate` (plus a few past the end) against a page scan.
+fn check_slots(storage: &StorageDb, model: &SlotModel, cache: u64) -> Result<(), TestCaseError> {
+    let (rel, _) = storage.load_table("t", cache, None).unwrap();
+    let want = model.relation();
+    prop_assert_eq!(
+        rel.to_rows(),
+        want.to_rows(),
+        "load_table drifted from the model"
+    );
+    let mut by_scan = Vec::new();
+    for (pid, cells) in storage.scan_slots("t").unwrap() {
+        by_scan.extend((0..cells).map(|slot| (pid, slot)));
+    }
+    prop_assert_eq!(by_scan.len(), model.slots.len(), "slot count drifted");
+    for rowid in 0..by_scan.len() as u64 + 3 {
+        let got = storage.locate("t", rowid).unwrap();
+        prop_assert_eq!(
+            got,
+            by_scan.get(rowid as usize).copied(),
+            "locate({}) disagrees with the page scan",
+            rowid
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The incrementally maintained slot directory never goes stale:
+    /// across accepted and rejected batches, checkpoints, re-ingests,
+    /// and crash + recovery, `apply` addresses exactly the slots a page
+    /// scan finds.
+    #[test]
+    fn slot_directory_matches_page_scan(
+        init in (1usize..300, 0usize..200, any::<bool>()),
+        steps in prop::collection::vec(arb_slot_step(), 1..24),
+        policy in 0u8..3,
+        small_checkpoint in any::<bool>(),
+        cache_pages in 1u64..6,
+    ) {
+        let dir = scratch("slots");
+        let policy = [WalPolicy::Off, WalPolicy::Batch, WalPolicy::Commit][policy as usize];
+        let ckpt = if small_checkpoint { 256 * 1024 } else { u64::MAX };
+        let cache = cache_pages * PAGE_SIZE as u64;
+        let mut storage = StorageDb::open_with(&dir, policy, ckpt).unwrap();
+        let (rows, pad, indexed) = init;
+        let mut model = SlotModel {
+            slots: (0..rows as i64).map(|k| Some(slot_row(k, pad))).collect(),
+        };
+        let mut next_k = rows as i64;
+        let index: &[&str] = if indexed { &["k"] } else { &[] };
+        storage.ingest("t", &model.relation(), index).unwrap();
+        check_slots(&storage, &model, cache)?;
+
+        for step in steps {
+            match step {
+                SlotStep::Batch { appends, pad, updates, deletes } => {
+                    let mut batch = MutationBatch::new("t");
+                    let mut live = model.live();
+                    let updated = pick_distinct(&mut live, &updates);
+                    let deleted = pick_distinct(&mut live, &deletes);
+                    for &r in &updated {
+                        // Never larger than the row it replaces, so an
+                        // accepted update always fits its page.
+                        let old_pad = match &model.slots[r as usize].as_ref().unwrap()[1] {
+                            Value::Str(s) => s.len(),
+                            v => unreachable!("pad column holds {v:?}"),
+                        };
+                        let row = slot_row(next_k, old_pad.min(pad / 4));
+                        next_k += 1;
+                        batch.update(r, row.clone());
+                        model.slots[r as usize] = Some(row);
+                    }
+                    for &r in &deleted {
+                        batch.delete(r);
+                        model.slots[r as usize] = None;
+                    }
+                    for _ in 0..appends {
+                        let row = slot_row(next_k, pad);
+                        next_k += 1;
+                        batch.append(row.clone());
+                        model.slots.push(Some(row));
+                    }
+                    storage.apply(&batch).unwrap();
+                }
+                SlotStep::Rejected { appends, bad, pick } => {
+                    let mut batch = MutationBatch::new("t");
+                    for i in 0..appends {
+                        batch.append(slot_row(next_k + i as i64, 50));
+                    }
+                    let live = model.live();
+                    // Never the last slot: it may sit alone on its page,
+                    // where even a maximal cell fits.
+                    let inner: Vec<u64> = live
+                        .iter()
+                        .copied()
+                        .filter(|&r| r + 1 < model.slots.len() as u64)
+                        .collect();
+                    if let Some(&r) = live.first() {
+                        batch.update(r, slot_row(-1, 10));
+                    }
+                    let dead: Vec<u64> = (0..model.slots.len() as u64)
+                        .filter(|&r| model.slots[r as usize].is_none())
+                        .collect();
+                    let out_of_range = model.slots.len() as u64 + pick % 4;
+                    match bad {
+                        Bad::Deleted if !dead.is_empty() => {
+                            batch.delete(dead[(pick % dead.len() as u64) as usize]);
+                        }
+                        Bad::Arity => {
+                            batch.append(vec![Value::Int(1)]);
+                        }
+                        Bad::Type if !live.is_empty() => {
+                            let r = live[(pick % live.len() as u64) as usize];
+                            batch.update(r, vec![Value::str("k"), Value::str("pad")]);
+                        }
+                        Bad::TooBig if !inner.is_empty() => {
+                            let r = inner[(pick % inner.len() as u64) as usize];
+                            // Int (9 bytes) + Str header (5 bytes) + body.
+                            batch.update(r, slot_row(-2, MAX_CELL - 14));
+                        }
+                        _ => {
+                            batch.update(out_of_range, slot_row(-3, 1));
+                        }
+                    }
+                    prop_assert!(storage.apply(&batch).is_err(), "{bad:?} batch was accepted");
+                }
+                SlotStep::Checkpoint => storage.checkpoint().unwrap(),
+                SlotStep::Reingest { indexed } => {
+                    let index: &[&str] = if indexed { &["k"] } else { &[] };
+                    let rel = model.relation();
+                    storage.ingest("t", &rel, index).unwrap();
+                    model.slots = model.slots.iter().flatten().cloned().map(Some).collect();
+                }
+                SlotStep::CrashRecover { fresh_handle } => {
+                    storage.simulate_crash();
+                    if fresh_handle {
+                        storage = StorageDb::open_with(&dir, policy, ckpt).unwrap();
+                    }
+                    storage.recover().unwrap();
+                }
+            }
+            check_slots(&storage, &model, cache)?;
         }
         std::fs::remove_dir_all(&dir).ok();
     }
