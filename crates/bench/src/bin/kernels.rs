@@ -18,7 +18,13 @@
 //!    transport, re-price) vs an exact hit, asserting the ≥10x hit
 //!    speedup and bit-identical served plans under unchanged stats, and
 //! 6. service throughput: one shared [`QueryService`] driven by 1/4/16
-//!    concurrent sessions over a warm plan cache,
+//!    concurrent sessions over a warm plan cache, and
+//! 7. paged storage: warm restart vs cold ingest, index seek vs hash
+//!    join, and
+//! 8. WAL durability: logged-append overhead and recovery time, and
+//! 9. a TPC-H Q1-shaped GROUP BY (one string key, seven aggregates):
+//!    the columnar aggregation kernel (`finalize_c`) against the row
+//!    aggregation (`finalize`), asserting bit-identical results,
 //!
 //! and writes the numbers to `results/kernels.md` plus a
 //! machine-readable `BENCH_kernels.json` at the repo root.
@@ -35,6 +41,7 @@ use std::time::Instant;
 
 use htqo_core::{q_hypertree_decomp, QhdOptions, StructuralCost};
 use htqo_cq::{AtomId, CqBuilder};
+use htqo_engine::aggregate::{finalize, finalize_c};
 use htqo_engine::cops;
 use htqo_engine::crel::CRel;
 use htqo_engine::error::{Budget, SpillMode};
@@ -904,6 +911,72 @@ fn main() {
         );
     }
 
+    // ---- 9. Q1-shaped GROUP BY: columnar kernel vs row aggregation. ----
+    //
+    // Three rows per `HTQO_KERNELS_ROWS` (≈ TPC-H Q1's 296k-row answer at
+    // the default), three group keys, Int and Float arguments, one
+    // arithmetic expression, COUNT(*) and a hidden rowid column. The row
+    // side is timed on a pre-converted answer, so only aggregation counts.
+    {
+        let (answer, q) = q1_shaped_answer(3 * scale);
+        let rows = answer.to_vrel();
+        let (col_s, col_out) =
+            best_of(|| finalize_c(&answer, &q, &mut Budget::unlimited()).unwrap());
+        let (row_s, row_out) = best_of(|| finalize(&rows, &q, &mut Budget::unlimited()).unwrap());
+        let bits = |r: &VRelation| -> Vec<Vec<u64>> {
+            r.rows()
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|v| match v {
+                            Value::Float(x) => x.to_bits(),
+                            Value::Int(i) => *i as u64,
+                            _ => 0,
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let bit_identical = col_out == row_out && bits(&col_out) == bits(&row_out);
+        assert!(
+            bit_identical,
+            "columnar aggregation disagrees with the row path"
+        );
+        let n = answer.len() as f64;
+        let _ = writeln!(
+            report,
+            "\n## Q1-shaped GROUP BY (1 string key, 7 aggregates)\n\n\
+             {} input rows, {} groups, bit-identical: {bit_identical}. Best of {REPS} runs.\n",
+            answer.len(),
+            col_out.len()
+        );
+        let _ = writeln!(report, "| aggregation | time | rows/s | speedup |");
+        let _ = writeln!(report, "|---|---|---|---|");
+        let _ = writeln!(
+            report,
+            "| row `finalize` | {row_s:.4}s | {:.0} | 1.00x |",
+            n / row_s
+        );
+        let _ = writeln!(
+            report,
+            "| columnar `finalize_c` | {col_s:.4}s | {:.0} | {:.2}x |",
+            n / col_s,
+            row_s / col_s
+        );
+        let _ = writeln!(
+            json,
+            "  \"aggregate\": {{ \"rows\": {}, \"groups\": {}, \"aggregates\": 7, \
+             \"row_s\": {row_s:.6}, \"columnar_s\": {col_s:.6}, \
+             \"row_rows_per_s\": {:.0}, \"columnar_rows_per_s\": {:.0}, \
+             \"speedup\": {:.2}, \"bit_identical\": {bit_identical} }},",
+            answer.len(),
+            col_out.len(),
+            n / row_s,
+            n / col_s,
+            row_s / col_s
+        );
+    }
+
     let _ = writeln!(
         json,
         "  \"qhd_bushy_output_rows\": {},\n  \"qhd_best_row_s\": {:.6},\n  \
@@ -1056,4 +1129,63 @@ fn bushy_count_workload(
     }
     b = b.out_agg(htqo_cq::AggFunc::Count, None, "n").group("A");
     (db, b.build())
+}
+
+/// The answer TPC-H Q1 aggregates, as a columnar relation over
+/// `(F, Q, P, D, __rid_l)` — return flag (3 values), Int quantity, Float
+/// price and discount, rowid — plus Q1's GROUP BY with seven aggregates:
+/// `sum(Q), sum(P), sum(P * (1 - D)), avg(Q), avg(P), avg(D), count(*)`.
+fn q1_shaped_answer(rows: usize) -> (CRel, htqo_cq::ConjunctiveQuery) {
+    use htqo_cq::{AggFunc, ArithOp, Literal, ScalarExpr};
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % m
+    };
+    let flags = ["A", "N", "R"];
+    let data: Vec<Box<[Value]>> = (0..rows)
+        .map(|i| {
+            let qty = 1 + next(50) as i64;
+            let price = qty as f64 * (900.0 + next(100_000) as f64 / 100.0);
+            vec![
+                Value::str(flags[next(3) as usize]),
+                Value::Int(qty),
+                Value::Float(price),
+                Value::Float(next(11) as f64 / 100.0),
+                Value::Int(i as i64),
+            ]
+            .into_boxed_slice()
+        })
+        .collect();
+    let cols = ["F", "Q", "P", "D", "__rid_l"];
+    let answer = CRel::from_vrel(&VRelation::from_rows(
+        cols.iter().map(|c| c.to_string()).collect(),
+        data,
+    ));
+    let var = |v: &str| ScalarExpr::Var(v.into());
+    let disc_price = ScalarExpr::Binary(
+        Box::new(var("P")),
+        ArithOp::Mul,
+        Box::new(ScalarExpr::Binary(
+            Box::new(ScalarExpr::Lit(Literal::Int(1))),
+            ArithOp::Sub,
+            Box::new(var("D")),
+        )),
+    );
+    let q = CqBuilder::new()
+        .atom_vars("lineitem", &cols)
+        .out_var("F")
+        .out_agg(AggFunc::Sum, Some(var("Q")), "sum_qty")
+        .out_agg(AggFunc::Sum, Some(var("P")), "sum_base_price")
+        .out_agg(AggFunc::Sum, Some(disc_price), "sum_disc_price")
+        .out_agg(AggFunc::Avg, Some(var("Q")), "avg_qty")
+        .out_agg(AggFunc::Avg, Some(var("P")), "avg_price")
+        .out_agg(AggFunc::Avg, Some(var("D")), "avg_disc")
+        .out_agg(AggFunc::Count, None, "count_order")
+        .out_var("__rid_l")
+        .group("F")
+        .build();
+    (answer, q)
 }

@@ -3,18 +3,19 @@
 //! aggregate functions, final projection (dropping hidden rowid guards) and
 //! ORDER BY.
 
+use crate::column::{Column, ColumnData};
 use crate::cops;
 use crate::crel::CRel;
-use crate::dict;
+use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError, SpillMode};
-use crate::expr::eval_scalar;
+use crate::expr::{arith, eval_scalar};
 use crate::hash::{hash_key, FxHashMap};
 use crate::ops::{self, sort_by};
 use crate::spill::{SpillDir, SpillFile, SpillReader, MAX_SPILL_LEVEL};
 use crate::value::{row_heap_bytes, Row, Value};
 use crate::vrel::VRelation;
 use htqo_cq::isolator::is_hidden_label;
-use htqo_cq::{AggFunc, ConjunctiveQuery, OutputItem, SortDir};
+use htqo_cq::{AggFunc, ArithOp, ConjunctiveQuery, OutputItem, ScalarExpr, SortDir};
 use std::collections::HashMap;
 
 /// Visible output items of `q` and their (uniquified) labels.
@@ -492,10 +493,8 @@ fn aggregate_repartition(
 
 /// Columnar grouping: group identity is decided by one vectorized
 /// key-hash pass over the GROUP BY columns plus typed cell verification —
-/// no boxed `Row` keys are built for the hash map. Accumulator feeding
-/// still materializes a row per input tuple *only* when some aggregate
-/// carries a scalar expression (which is row-shaped by nature);
-/// `COUNT(*)`-style aggregates run without touching a `Value`.
+/// no boxed `Row` keys are built for the hash map — and the aggregates
+/// are evaluated and folded column-at-a-time ([`aggregate_c_inner`]).
 fn aggregate_c(
     answer: &CRel,
     q: &ConjunctiveQuery,
@@ -562,6 +561,25 @@ fn aggregate_c_mem(
     Ok(out)
 }
 
+/// Rows per evaluation chunk of the columnar aggregation kernel: its
+/// scratch memory (group ids, evaluated argument values) is bounded by
+/// this, not by the input size.
+const AGG_CHUNK: usize = 1024;
+
+/// Column-at-a-time aggregation kernel. Per chunk of [`AGG_CHUNK`] rows:
+///
+/// 1. assign each row its group id — one hash probe per row over the
+///    precomputed key hashes, typed cell verification, groups numbered in
+///    first-seen order (each new group reserves and charges its state);
+/// 2. evaluate every aggregate argument over the chunk, compiled once
+///    against column positions ([`Prog`]), reading typed columns in place;
+/// 3. fold the values into each group's [`Accumulator`] in row order.
+///
+/// Within a group the rows reach each accumulator in input order, exactly
+/// as the row-at-a-time feed does, so float SUM/AVG are bit-identical to
+/// [`aggregate_rows`]. If a chunk raises an error, it is replayed row by
+/// row through [`Accumulator::feed`] so the reported error is the one the
+/// row-major feed meets first.
 #[allow(clippy::too_many_arguments)]
 fn aggregate_c_inner(
     answer: &CRel,
@@ -573,77 +591,330 @@ fn aggregate_c_inner(
     accrued: &mut u64,
 ) -> Result<VRelation, EvalError> {
     let group_bytes = group_state_bytes(group_idx.len(), visible.len());
-    let needs_row = visible
+    // One compiled argument and one accumulator per group for each
+    // aggregate item, in SELECT order. A compile error (unknown variable)
+    // surfaces at the first row, as in the row feed; over an empty input
+    // it never does.
+    let mut aggs: Vec<(&OutputItem, Result<Prog, EvalError>, Vec<Accumulator>)> = visible
         .iter()
-        .any(|o| matches!(o, OutputItem::Aggregate { expr: Some(_), .. }));
-    let cols = answer.cols().to_vec();
+        .filter_map(|&item| match item {
+            OutputItem::Var { .. } => None,
+            OutputItem::Aggregate { expr, .. } => {
+                let prog = match expr {
+                    Some(e) => Prog::compile(e, answer.cols()),
+                    None => Ok(Prog::Lit(Value::Int(1))), // COUNT(*): a non-NULL marker
+                };
+                Some((item, prog, Vec::new()))
+            }
+        })
+        .collect();
 
     let reader = dict::reader();
     let hashes = cops::key_hashes(answer, group_idx, &reader);
     // hash → candidate group ids; groups remember their first-seen row.
     let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
     let mut first_row: Vec<u32> = Vec::new();
-    let mut accs: Vec<Vec<Accumulator>> = Vec::new();
-    let mut scratch: Row = Vec::new().into_boxed_slice();
-    for (i, &h) in hashes.iter().enumerate() {
-        let bucket = buckets.entry(h).or_default();
-        let gid = bucket.iter().copied().find(|&g| {
-            let j = first_row[g as usize] as usize;
-            group_idx
-                .iter()
-                .all(|&c| answer.column(c).eq_at(i, answer.column(c), j, &reader))
-        });
-        let gid = match gid {
-            Some(g) => g as usize,
-            None => {
-                if !budget.try_reserve_bytes(group_bytes) {
-                    return Err(group_state_exceeded(budget, group_bytes));
+    let mut gids: Vec<u32> = Vec::with_capacity(AGG_CHUNK.min(answer.len()));
+    for lo in (0..answer.len()).step_by(AGG_CHUNK) {
+        let hi = (lo + AGG_CHUNK).min(answer.len());
+        gids.clear();
+        for (i, &h) in hashes.iter().enumerate().take(hi).skip(lo) {
+            let bucket = buckets.entry(h).or_default();
+            let gid = bucket.iter().copied().find(|&g| {
+                let j = first_row[g as usize] as usize;
+                group_idx
+                    .iter()
+                    .all(|&c| answer.column(c).eq_at(i, answer.column(c), j, &reader))
+            });
+            let gid = match gid {
+                Some(g) => g,
+                None => {
+                    if !budget.try_reserve_bytes(group_bytes) {
+                        return Err(group_state_exceeded(budget, group_bytes));
+                    }
+                    *accrued += group_bytes;
+                    budget.charge(1)?;
+                    let g = first_row.len() as u32;
+                    bucket.push(g);
+                    first_row.push(i as u32);
+                    for (item, _, accs) in &mut aggs {
+                        accs.push(Accumulator::for_item(item));
+                    }
+                    g
                 }
-                *accrued += group_bytes;
-                budget.charge(1)?;
-                let g = first_row.len();
-                bucket.push(g as u32);
-                first_row.push(i as u32);
-                accs.push(visible.iter().map(|o| Accumulator::for_item(o)).collect());
-                g
-            }
-        };
-        if needs_row {
-            let row: Vec<Value> = answer
-                .columns()
-                .iter()
-                .map(|c| c.value_with(i, &reader))
-                .collect();
-            scratch = row.into_boxed_slice();
+            };
+            gids.push(gid);
         }
-        for (acc, item) in accs[gid].iter_mut().zip(visible) {
-            acc.feed(item, &cols, &scratch)?;
+        let folded = aggs.iter_mut().try_for_each(|(_, prog, accs)| match prog {
+            Ok(p) => p
+                .eval_chunk(answer, lo, hi, &reader)?
+                .fold_into(accs, &gids),
+            Err(e) => Err(e.clone()),
+        });
+        if let Err(e) = folded {
+            return Err(first_feed_error(answer, lo, hi, visible, &reader).unwrap_or(e));
         }
     }
 
     // Global aggregate over empty input still produces one row.
-    if accs.is_empty() && q.group_by.is_empty() {
+    if first_row.is_empty() && q.group_by.is_empty() {
         first_row.push(0);
-        accs.push(visible.iter().map(|o| Accumulator::for_item(o)).collect());
+        for (item, _, accs) in &mut aggs {
+            accs.push(Accumulator::for_item(item));
+        }
     }
 
     let mut out = VRelation::empty(labels.to_vec());
-    for (g, group_accs) in accs.iter().enumerate() {
-        let mut row: Vec<Value> = Vec::with_capacity(visible.len());
-        for (acc, item) in group_accs.iter().zip(visible) {
-            row.push(match item {
+    for (g, &first) in first_row.iter().enumerate() {
+        let mut finished = aggs.iter().map(|(_, _, accs)| accs[g].finish());
+        let row: Vec<Value> = visible
+            .iter()
+            .map(|item| match item {
                 OutputItem::Var { var, .. } => {
                     let gpos = q.group_by.iter().position(|g| g == var).expect("validated");
                     answer
                         .column(group_idx[gpos])
-                        .value_with(first_row[g] as usize, &reader)
+                        .value_with(first as usize, &reader)
                 }
-                OutputItem::Aggregate { .. } => acc.finish(),
-            });
-        }
+                OutputItem::Aggregate { .. } => finished.next().expect("one per aggregate"),
+            })
+            .collect();
         out.push(row.into_boxed_slice());
     }
     Ok(out)
+}
+
+/// The first error the row-at-a-time feed raises on rows `lo..hi`
+/// (row-major: every aggregate of a row before the next row). Feed
+/// errors do not depend on accumulator state, so fresh accumulators
+/// reproduce them.
+fn first_feed_error(
+    answer: &CRel,
+    lo: usize,
+    hi: usize,
+    visible: &[&OutputItem],
+    reader: &DictReader,
+) -> Option<EvalError> {
+    let mut scratch: Vec<Accumulator> = visible.iter().map(|o| Accumulator::for_item(o)).collect();
+    for i in lo..hi {
+        let row: Row = answer
+            .columns()
+            .iter()
+            .map(|c| c.value_with(i, reader))
+            .collect();
+        for (acc, item) in scratch.iter_mut().zip(visible) {
+            if let Err(e) = acc.feed(item, answer.cols(), &row) {
+                return Some(e);
+            }
+        }
+    }
+    None
+}
+
+/// A scalar expression over column positions ([`eval_scalar`] without
+/// the per-row by-name column search).
+enum Prog {
+    Col(usize),
+    Lit(Value),
+    Bin(Box<Prog>, ArithOp, Box<Prog>),
+}
+
+/// Result type every row of a [`Prog`] has, decided from the column
+/// types: `Int` and `Float` evaluate as typed vectors, anything involving
+/// strings, dates or heterogeneous columns row by row through [`arith`].
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    Int,
+    Float,
+    Boxed,
+}
+
+/// One aggregate argument evaluated over a chunk: typed values with a
+/// NULL flag per row, or boxed values.
+enum ChunkVals {
+    Int(Vec<i64>, Vec<bool>),
+    Float(Vec<f64>, Vec<bool>),
+    Boxed(Vec<Value>),
+}
+
+impl ChunkVals {
+    /// Folds row `j` of the chunk into `accs[gids[j]]`, in row order.
+    fn fold_into(&self, accs: &mut [Accumulator], gids: &[u32]) -> Result<(), EvalError> {
+        match self {
+            ChunkVals::Int(v, nulls) => {
+                for ((&g, &x), &null) in gids.iter().zip(v).zip(nulls) {
+                    accs[g as usize].fold(&if null { Value::Null } else { Value::Int(x) })?;
+                }
+            }
+            ChunkVals::Float(v, nulls) => {
+                for ((&g, &x), &null) in gids.iter().zip(v).zip(nulls) {
+                    accs[g as usize].fold(&if null { Value::Null } else { Value::Float(x) })?;
+                }
+            }
+            ChunkVals::Boxed(v) => {
+                for (&g, x) in gids.iter().zip(v) {
+                    accs[g as usize].fold(x)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// NULL flags of rows `lo..hi` of a typed column.
+fn null_flags(col: &Column, lo: usize, hi: usize) -> Vec<bool> {
+    if col.nulls().any() {
+        (lo..hi).map(|i| col.nulls().get(i)).collect()
+    } else {
+        vec![false; hi - lo]
+    }
+}
+
+/// `a[j] |= b[j]`: NULL propagates through arithmetic.
+fn or_nulls(a: &mut [bool], b: &[bool]) {
+    for (x, &y) in a.iter_mut().zip(b) {
+        *x |= y;
+    }
+}
+
+impl Prog {
+    fn compile(e: &ScalarExpr, cols: &[String]) -> Result<Prog, EvalError> {
+        Ok(match e {
+            ScalarExpr::Var(v) => Prog::Col(
+                cols.iter()
+                    .position(|c| c == v)
+                    .ok_or_else(|| EvalError::UnknownVariable(v.clone()))?,
+            ),
+            ScalarExpr::Lit(l) => Prog::Lit(l.into()),
+            ScalarExpr::Binary(l, op, r) => Prog::Bin(
+                Box::new(Prog::compile(l, cols)?),
+                *op,
+                Box::new(Prog::compile(r, cols)?),
+            ),
+        })
+    }
+
+    /// The result type of every row, following [`arith`]: `Int op Int`
+    /// is `Int` except division, any float operand makes `Float`.
+    fn kind(&self, rel: &CRel) -> Kind {
+        match self {
+            Prog::Col(c) => match rel.column(*c).data() {
+                ColumnData::Int(_) => Kind::Int,
+                ColumnData::Float(_) => Kind::Float,
+                _ => Kind::Boxed,
+            },
+            Prog::Lit(Value::Int(_)) => Kind::Int,
+            Prog::Lit(Value::Float(_)) => Kind::Float,
+            Prog::Lit(_) => Kind::Boxed,
+            Prog::Bin(l, op, r) => match (l.kind(rel), r.kind(rel)) {
+                (Kind::Boxed, _) | (_, Kind::Boxed) => Kind::Boxed,
+                (Kind::Int, Kind::Int) if *op != ArithOp::Div => Kind::Int,
+                _ => Kind::Float,
+            },
+        }
+    }
+
+    /// Evaluates rows `lo..hi`, as typed vectors where [`Prog::kind`]
+    /// allows.
+    fn eval_chunk(
+        &self,
+        rel: &CRel,
+        lo: usize,
+        hi: usize,
+        reader: &DictReader,
+    ) -> Result<ChunkVals, EvalError> {
+        Ok(match self.kind(rel) {
+            Kind::Int => {
+                let (v, n) = self.eval_int(rel, lo, hi);
+                ChunkVals::Int(v, n)
+            }
+            Kind::Float => {
+                let (v, n) = self.eval_float(rel, lo, hi);
+                ChunkVals::Float(v, n)
+            }
+            Kind::Boxed => ChunkVals::Boxed(
+                (lo..hi)
+                    .map(|i| self.eval_value(rel, i, reader))
+                    .collect::<Result<_, _>>()?,
+            ),
+        })
+    }
+
+    /// Rows `lo..hi` of an `Int`-kind expression: wrapping arithmetic.
+    fn eval_int(&self, rel: &CRel, lo: usize, hi: usize) -> (Vec<i64>, Vec<bool>) {
+        match self {
+            Prog::Col(c) => {
+                let col = rel.column(*c);
+                let ColumnData::Int(a) = col.data() else {
+                    unreachable!("Int kind")
+                };
+                (a[lo..hi].to_vec(), null_flags(col, lo, hi))
+            }
+            Prog::Lit(Value::Int(x)) => (vec![*x; hi - lo], vec![false; hi - lo]),
+            Prog::Lit(_) => unreachable!("Int kind"),
+            Prog::Bin(l, op, r) => {
+                let (mut a, mut an) = l.eval_int(rel, lo, hi);
+                let (b, bn) = r.eval_int(rel, lo, hi);
+                or_nulls(&mut an, &bn);
+                for (x, &y) in a.iter_mut().zip(&b) {
+                    *x = match op {
+                        ArithOp::Add => x.wrapping_add(y),
+                        ArithOp::Sub => x.wrapping_sub(y),
+                        ArithOp::Mul => x.wrapping_mul(y),
+                        ArithOp::Div => unreachable!("division is Float kind"),
+                    };
+                }
+                (a, an)
+            }
+        }
+    }
+
+    /// Rows `lo..hi` as `f64`: `Int`-kind operands promote with `as f64`
+    /// ([`Value::as_f64`]), then the operator applies in `f64`.
+    fn eval_float(&self, rel: &CRel, lo: usize, hi: usize) -> (Vec<f64>, Vec<bool>) {
+        if self.kind(rel) == Kind::Int {
+            let (a, n) = self.eval_int(rel, lo, hi);
+            return (a.into_iter().map(|x| x as f64).collect(), n);
+        }
+        match self {
+            Prog::Col(c) => {
+                let col = rel.column(*c);
+                let ColumnData::Float(a) = col.data() else {
+                    unreachable!("Float kind")
+                };
+                (a[lo..hi].to_vec(), null_flags(col, lo, hi))
+            }
+            Prog::Lit(Value::Float(x)) => (vec![*x; hi - lo], vec![false; hi - lo]),
+            Prog::Lit(_) => unreachable!("Float kind"),
+            Prog::Bin(l, op, r) => {
+                let (mut a, mut an) = l.eval_float(rel, lo, hi);
+                let (b, bn) = r.eval_float(rel, lo, hi);
+                or_nulls(&mut an, &bn);
+                for (x, &y) in a.iter_mut().zip(&b) {
+                    *x = match op {
+                        ArithOp::Add => *x + y,
+                        ArithOp::Sub => *x - y,
+                        ArithOp::Mul => *x * y,
+                        ArithOp::Div => *x / y,
+                    };
+                }
+                (a, an)
+            }
+        }
+    }
+
+    /// Row `i` as a boxed value — exactly [`eval_scalar`].
+    fn eval_value(&self, rel: &CRel, i: usize, reader: &DictReader) -> Result<Value, EvalError> {
+        match self {
+            Prog::Col(c) => Ok(rel.column(*c).value_with(i, reader)),
+            Prog::Lit(v) => Ok(v.clone()),
+            Prog::Bin(l, op, r) => {
+                let lv = l.eval_value(rel, i, reader)?;
+                let rv = r.eval_value(rel, i, reader)?;
+                arith(&lv, *op, &rv)
+            }
+        }
+    }
 }
 
 /// Why [`Accumulator::feed_weighted`] cannot reproduce the plain
@@ -658,6 +929,15 @@ pub(crate) enum WeightedFeedError {
     /// A genuine evaluation error (bad scalar expression, non-numeric
     /// SUM input) that the materialized path would also surface.
     Eval(EvalError),
+}
+
+/// SUM or AVG over a string or date (kept out of line: the fold is hot).
+#[cold]
+fn non_numeric(func: AggFunc, v: &Value) -> EvalError {
+    EvalError::Internal(match func {
+        AggFunc::Sum => format!("SUM over non-numeric value ({})", v.type_name()),
+        _ => "AVG over non-numeric value".into(),
+    })
 }
 
 /// Streaming accumulator for one output item.
@@ -716,6 +996,14 @@ impl Accumulator {
             Some(e) => eval_scalar(e, cols, row)?,
             None => Value::Int(1), // COUNT(*): any non-null marker
         };
+        self.fold(&value)
+    }
+
+    /// Folds one input value into the running aggregate — the single
+    /// accumulation step behind both the row feed and the columnar
+    /// kernel, so both accumulate identically.
+    #[inline(always)]
+    pub(crate) fn fold(&mut self, value: &Value) -> Result<(), EvalError> {
         match self {
             Accumulator::Group => {}
             Accumulator::Count { n } => {
@@ -731,7 +1019,7 @@ impl Accumulator {
             } => match value {
                 Value::Null => {}
                 Value::Int(i) => {
-                    *int = int.wrapping_add(i);
+                    *int = int.wrapping_add(*i);
                     *n += 1;
                 }
                 Value::Float(x) => {
@@ -739,12 +1027,7 @@ impl Accumulator {
                     *any_float = true;
                     *n += 1;
                 }
-                other => {
-                    return Err(EvalError::Internal(format!(
-                        "SUM over non-numeric value ({})",
-                        other.type_name()
-                    )))
-                }
+                other => return Err(non_numeric(AggFunc::Sum, other)),
             },
             Accumulator::MinMax { best, min } => {
                 if value.is_null() {
@@ -762,7 +1045,7 @@ impl Accumulator {
                     }
                 };
                 if better {
-                    *best = Some(value);
+                    *best = Some(value.clone());
                 }
             }
             Accumulator::Avg { sum, n } => {
@@ -770,7 +1053,7 @@ impl Accumulator {
                     *sum += x;
                     *n += 1;
                 } else if !value.is_null() {
-                    return Err(EvalError::Internal("AVG over non-numeric value".into()));
+                    return Err(non_numeric(AggFunc::Avg, value));
                 }
             }
         }
@@ -824,33 +1107,10 @@ impl Accumulator {
                     *n = n.saturating_add(weight);
                 }
                 Value::Float(_) => return Err(WeightedFeedError::OrderSensitive),
-                other => {
-                    return Err(WeightedFeedError::Eval(EvalError::Internal(format!(
-                        "SUM over non-numeric value ({})",
-                        other.type_name()
-                    ))))
-                }
+                other => return Err(WeightedFeedError::Eval(non_numeric(AggFunc::Sum, &other))),
             },
-            Accumulator::MinMax { best, min } => {
-                // Order- and multiplicity-free: feed the value once.
-                if value.is_null() {
-                    return Ok(());
-                }
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let ord = value.cmp(b);
-                        if *min {
-                            ord.is_lt()
-                        } else {
-                            ord.is_gt()
-                        }
-                    }
-                };
-                if better {
-                    *best = Some(value);
-                }
-            }
+            // Order- and multiplicity-free: feed the value once.
+            Accumulator::MinMax { .. } => self.fold(&value).map_err(WeightedFeedError::Eval)?,
             // AVG divides an order-sensitively accumulated float sum;
             // callers exclude it statically, but stay safe here too.
             Accumulator::Avg { .. } => return Err(WeightedFeedError::OrderSensitive),

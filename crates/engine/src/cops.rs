@@ -127,6 +127,7 @@ fn reorder(r: CRel, desired: &[String]) -> CRel {
 pub fn natural_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     crate::fail_point!("cops::join");
     budget.join_stats().add_hash_build();
+    let duplicate_free = a.is_duplicate_free() && b.is_duplicate_free();
     let (build, probe, swapped) = if a.len() <= b.len() {
         (a, b, false)
     } else {
@@ -195,9 +196,9 @@ pub fn natural_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, Eva
             cols.extend(b.cols().iter().filter(|c| !a.cols().contains(c)).cloned());
             cols
         };
-        return Ok(reorder(out, &desired));
+        return Ok(reorder(out, &desired).with_duplicate_free(duplicate_free));
     }
-    Ok(out)
+    Ok(out.with_duplicate_free(duplicate_free))
 }
 
 /// Sequential kernel: matching `(build, probe)` row pairs in probe-major
@@ -387,14 +388,19 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
     budget.uncharge_bytes(table_bytes);
     let keep = keep_result?;
     let columns: Vec<Column> = a.columns().iter().map(|c| c.gather(&keep)).collect();
-    let out = CRel::new(a.cols().to_vec(), columns, keep.len());
+    let out = CRel::new(a.cols().to_vec(), columns, keep.len())
+        .with_duplicate_free(a.is_duplicate_free());
     budget.charge_bytes(crel_payload_bytes(&out))?;
     Ok(out)
 }
 
 /// Projects `a` onto `vars` — the columnar [`crate::ops::project`].
 /// Distinct mode dedups via per-row key hashes with typed verification;
-/// bag mode is a column clone (no per-cell work at all).
+/// bag mode is a column clone (no per-cell work at all). A distinct
+/// projection that keeps every column of a duplicate-free input has
+/// nothing to remove: it skips the hash pass, returns the columns in the
+/// requested order, and charges exactly what the dedup pass would have
+/// (one tuple and four bytes per kept row, then the output payload).
 pub fn project(
     a: &CRel,
     vars: &[String],
@@ -409,7 +415,9 @@ pub fn project(
                 .ok_or_else(|| EvalError::UnknownVariable(v.clone()))
         })
         .collect::<Result<_, _>>()?;
-    if distinct {
+    // A set projected onto all of its columns has no duplicate to remove.
+    let keeps_set = idx.len() == a.cols().len() && a.is_duplicate_free();
+    if distinct && !keeps_set {
         // Dedup state: the hash array plus the bucket map, reserved as one
         // block and released once the kept indices are gathered.
         let map_bytes =
@@ -439,13 +447,17 @@ pub fn project(
         budget.uncharge_bytes(map_bytes);
         result?;
         let columns: Vec<Column> = idx.iter().map(|&c| a.column(c).gather(&keep)).collect();
-        let out = CRel::new(vars.to_vec(), columns, keep.len());
+        let out = CRel::new(vars.to_vec(), columns, keep.len()).with_duplicate_free(true);
         budget.charge_bytes(crel_payload_bytes(&out))?;
         Ok(out)
     } else {
         budget.charge(a.len() as u64)?;
+        if distinct {
+            // What the dedup pass charges per kept row.
+            budget.charge_bytes(4 * a.len() as u64)?;
+        }
         let columns: Vec<Column> = idx.iter().map(|&c| a.column(c).clone()).collect();
-        let out = CRel::new(vars.to_vec(), columns, a.len());
+        let out = CRel::new(vars.to_vec(), columns, a.len()).with_duplicate_free(keeps_set);
         budget.charge_bytes(crel_payload_bytes(&out))?;
         Ok(out)
     }

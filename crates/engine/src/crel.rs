@@ -11,6 +11,16 @@
 //! Zero-column relations are meaningful here just as for [`VRelation`]:
 //! [`CRel::neutral`] is one empty tuple (the join identity), so `len` is
 //! tracked explicitly rather than derived from a first column.
+//!
+//! A relation also records whether it is *proven duplicate-free*
+//! ([`CRel::is_duplicate_free`]). The flag is only ever set by the
+//! constructors that can prove it: a scan carrying the hidden rowid
+//! column, a distinct projection, a natural join (or index-seek join) of
+//! two duplicate-free inputs, a semijoin of a duplicate-free input, and a
+//! projection or clone that keeps every column. Everything else —
+//! [`CRel::new`], [`CRel::empty`], [`CRel::from_vrel`] — starts `false`.
+//! [`crate::cops::project`] uses it to skip the hash-dedup pass when a
+//! distinct projection keeps every column of a set.
 
 use crate::column::Column;
 use crate::dict;
@@ -25,6 +35,8 @@ pub struct CRel {
     cols: Vec<String>,
     columns: Vec<Column>,
     len: usize,
+    /// True only when the rows are proven pairwise distinct.
+    duplicate_free: bool,
 }
 
 impl CRel {
@@ -41,7 +53,12 @@ impl CRel {
         for col in &columns {
             assert_eq!(col.len(), len, "column length mismatch");
         }
-        CRel { cols, columns, len }
+        CRel {
+            cols,
+            columns,
+            len,
+            duplicate_free: false,
+        }
     }
 
     /// An empty relation over the given variables (all columns `Mixed`
@@ -62,6 +79,7 @@ impl CRel {
             cols: Vec::new(),
             columns: Vec::new(),
             len: 1,
+            duplicate_free: false,
         }
     }
 
@@ -88,6 +106,19 @@ impl CRel {
     /// True if there are no rows.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// True if the rows are proven pairwise distinct (see the module
+    /// docs for the constructors that prove it).
+    pub fn is_duplicate_free(&self) -> bool {
+        self.duplicate_free
+    }
+
+    /// Sets the duplicate-free flag. Callers must have a proof: a wrong
+    /// `true` makes distinct projections keep duplicate rows.
+    pub(crate) fn with_duplicate_free(mut self, duplicate_free: bool) -> Self {
+        self.duplicate_free = duplicate_free;
+        self
     }
 
     /// Position of variable `v`.
@@ -139,6 +170,7 @@ impl CRel {
             cols: v.cols().to_vec(),
             columns,
             len: rows.len(),
+            duplicate_free: false,
         }
     }
 

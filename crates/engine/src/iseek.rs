@@ -288,7 +288,10 @@ pub fn index_seek_join_c(
             }
         });
     }
-    let out = CRel::new(cols, columns, acc_sel.len());
+    // A natural join of a set with a rowid-carrying scan is a set.
+    let has_rowid = plan.sources.iter().any(|s| matches!(s, Source::RowId));
+    let out = CRel::new(cols, columns, acc_sel.len())
+        .with_duplicate_free(acc.is_duplicate_free() && has_rowid);
     budget.charge_bytes(cops::crel_payload_bytes(&out))?;
     Ok(Some(out))
 }

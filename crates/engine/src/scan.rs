@@ -122,7 +122,9 @@ pub fn scan_atom_c(
             }
         })
         .collect();
-    let out = CRel::new(out_vars, columns, sel.len());
+    // Distinct rowids make distinct rows: the scan is a set.
+    let has_rowid = sources.iter().any(|s| matches!(s, Source::RowId));
+    let out = CRel::new(out_vars, columns, sel.len()).with_duplicate_free(has_rowid);
     budget.charge_bytes(crate::cops::crel_payload_bytes(&out))?;
     Ok(out)
 }
